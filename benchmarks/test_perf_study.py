@@ -124,7 +124,7 @@ def _disk_tier_block(tmp_path):
     ckpt_run.execute()
     checkpoint = ckpt_run.checkpoint_stats
     assert checkpoint["saves"] == DISK_DAYS
-    assert checkpoint["delta_ratio"] < 0.40, (
+    assert checkpoint["delta_ratio"] < 0.20, (
         f"delta store wrote {checkpoint['delta_ratio']:.1%} "
         "of the whole-pickle bytes"
     )
@@ -246,7 +246,7 @@ def test_study_end_to_end_perf(tmp_path):
         (f"disk warm start ({disk['days']}d small)", "-",
          f"{disk['cold_s']:.2f}s cold -> {disk['warm_s']:.2f}s warm "
          f"({disk['warm_speedup']:.2f}x)"),
-        ("delta checkpoints (every=1)", "< 40% of pickle",
+        ("delta checkpoints (every=1)", "< 20% of pickle",
          f"{disk['checkpoint']['delta_ratio']:.1%} of "
          f"{disk['checkpoint']['payload_bytes_total'] / 1e6:.1f} MB"),
     ]

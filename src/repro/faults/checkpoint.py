@@ -9,14 +9,16 @@ state, not a reconstruction.
 Persisting that payload whole every day is wasteful: consecutive days
 share almost all of their bytes.  A checkpoint is therefore a *directory*
 holding a content-addressed chunk store plus one small manifest per saved
-day.  The pickled payload is split with content-defined chunking —
-boundaries anchored on the pickle ``MEMOIZE``-then-``\\x00`` byte pair,
-which recurs every few KB of any large pickle stream regardless of how
-memo indices renumbered between days — so unchanged regions of
-consecutive payloads hash to the same chunks and are stored once,
-zlib-compressed.  Measured on the small preset at ``--checkpoint-every
-1``, the store holds ~20% of the bytes the old one-pickle-per-day format
-wrote, while reassembly stays byte-identical.
+day.  The payload is pickled with protocol 5 and a ``buffer_callback``:
+every :class:`random.Random` stream reduces to its packed 624-word state
+as a :class:`~pickle.PickleBuffer` (:func:`repro.util.rng.reduce_stream`),
+and NumPy arrays hand over their column data the same way.  Each such
+buffer of at least ``_OOB_MIN_BYTES`` is stored out of band as its own
+chunk named by its digest — a stream whose words did not change since
+yesterday, or a column that was not rebuilt, re-uses yesterday's file.
+The remaining in-band stream is cut into chunks (512 B–64 KiB, see
+:func:`chunk_spans`) and stored the same way.  Every chunk is
+zlib-compressed and written once.
 
 Write ordering makes a kill at any instant safe: chunks first, then the
 day manifest, then ``HEAD`` (each file through
@@ -25,14 +27,15 @@ previous complete checkpoint behind ``HEAD``.  Every few saves the store
 is compacted: manifests older than ``HEAD`` and chunks nothing references
 are pruned, bounding the directory to roughly one payload plus the
 recent deltas.  Day manifests carry a chained digest
-(``H(prev_chain, payload_digest)``) so the surviving lineage is
+(``H(prev_chain, payload_digest)``, where the payload digest covers the
+in-band bytes and the ordered buffer digests) so the surviving lineage is
 tamper-evident across saves and resumes.
 
 ``repro run --resume`` (and :class:`repro.study.StudyRun` with
-``resume=True``) loads ``HEAD``, reassembles the payload, verifies the
-payload digest, the scenario config digest, and a recomputed state
-digest, and continues the day loop — producing final artifacts
-byte-identical to an uninterrupted run (pinned in
+``resume=True``) loads ``HEAD``, reassembles the payload, verifies every
+chunk digest, the payload digest, the scenario config digest, and a
+recomputed state digest, and continues the day loop — producing final
+artifacts byte-identical to an uninterrupted run (pinned in
 ``tests/test_faults.py``), at any ``--jobs`` level on either side of the
 crash.
 
@@ -43,6 +46,8 @@ sidesteps flaky subprocess-kill timing entirely.
 
 from __future__ import annotations
 
+import copyreg
+import io
 import json
 import os
 import pickle
@@ -55,18 +60,29 @@ from typing import List, Optional, Sequence, Tuple
 from repro.obs.manifest import config_digest, run_manifest
 from repro.util.atomicio import atomic_write
 from repro.util.perf import PERF
+from repro.util.rng import STREAM_REDUCERS
 
 #: Checkpoint layout schema, bumped on layout changes.  Schema 1 was a
-#: single whole-graph pickle file; 2 is the chunked delta directory.
-CHECKPOINT_SCHEMA = 2
+#: single whole-graph pickle file; 2 the chunked delta directory; 3 adds
+#: out-of-band buffer chunks (RNG words, NumPy columns).
+CHECKPOINT_SCHEMA = 3
 
-#: Chunk-boundary anchor: pickle's MEMOIZE opcode followed by a zero
-#: byte.  Dense (~every 4-5 KB in study payloads), cheap to find at C
-#: speed, and insensitive to the memo-index renumbering that shifts raw
-#: byte offsets between otherwise-similar pickles.
+#: Chunk-boundary anchor: the byte pair ``\x94\x00``.  It never marks a
+#: pickle ``MEMOIZE`` opcode (``\x00`` is not an opcode); it matches
+#: inside argument bytes.  Measured on the day-8 payload of a small-preset
+#: every-day run (seed 7, 16 days): with RNG state in band, 905 of 913
+#: matches fell inside ``LONG1`` RNG ints; with it out of band, the 1.1 MB
+#: in-band stream holds one match, most chunks end at ``_MAX_CHUNK``, and
+#: fixed 64 KiB slices wrote the same bytes (4.189 vs 4.188 MB over the
+#: run).  In that run no in-band chunk was re-used across days; the
+#: day-to-day savings come from the out-of-band buffers.
 _ANCHOR = re.compile(rb"\x94\x00")
 _MIN_CHUNK = 512
 _MAX_CHUNK = 65536
+
+#: Out-of-band pickle buffers at least this large become their own
+#: chunk; smaller ones are written in band.
+_OOB_MIN_BYTES = 1024
 
 #: Prune unreferenced chunks / stale manifests every this many saves.
 _COMPACT_EVERY = 7
@@ -87,9 +103,11 @@ def chunk_spans(data: bytes) -> List[Tuple[int, int]]:
     """Content-defined ``(start, end)`` spans covering ``data``.
 
     Each chunk ends at the first anchor match past ``_MIN_CHUNK`` bytes
-    (or at ``_MAX_CHUNK``), so an insertion or deletion only redraws the
-    boundaries of the chunks it touches — downstream chunks re-align on
-    the next anchor and hash identically to yesterday's."""
+    (or at ``_MAX_CHUNK``).  Where anchors recur, an insertion or
+    deletion only redraws the boundaries of the chunks it touches and
+    downstream chunks re-align on the next anchor; on study payloads the
+    anchor is sparse and most chunks end at ``_MAX_CHUNK`` (see
+    ``_ANCHOR``)."""
     spans: List[Tuple[int, int]] = []
     start = 0
     n = len(data)
@@ -155,8 +173,10 @@ class Checkpointer:
         #: Running digest chain; a fresh Checkpointer over an existing
         #: store (a resumed run) continues the surviving lineage.
         self.chain = self._head_chain()
-        #: Accounting for ``BENCH_study.json``'s ``disk`` block: what the
-        #: old format would have written vs what this one did.
+        #: Accounting for ``BENCH_study.json``'s ``disk`` block: bytes
+        #: pickled (in band plus buffers), i.e. what whole-payload saves
+        #: would write, vs what this store wrote.  ``chunks_*`` count
+        #: buffer chunks too.
         self.payload_bytes_total = 0
         self.bytes_written = 0
         self.chunks_written = 0
@@ -205,34 +225,16 @@ class Checkpointer:
             "day_index": day_index,
             "day": day.isoformat(),
             "state_digest": digest,
-            # The standard provenance block, extended with where and what
-            # this checkpoint captured.
-            "manifest": run_manifest(
-                self.config, checkpoint_day_index=day_index, state_digest=digest
-            ),
             "simulator": simulator,
             "observers": list(observers),
         }
-        blob = pickle.dumps(payload, protocol=pickle.HIGHEST_PROTOCOL)
-        payload_digest = blake2b(blob, digest_size=16).hexdigest()
-        self.payload_bytes_total += len(blob)
+        blob, buffers = _dumps(payload)
+        self.payload_bytes_total += len(blob) + sum(b.nbytes for b in buffers)
 
-        chunk_dir = self._chunk_dir()
-        os.makedirs(chunk_dir, exist_ok=True)
-        chunk_digests: List[str] = []
-        for start, end in chunk_spans(blob):
-            chunk = blob[start:end]
-            hexdigest = blake2b(chunk, digest_size=16).hexdigest()
-            chunk_digests.append(hexdigest)
-            chunk_path = os.path.join(chunk_dir, hexdigest + ".z")
-            if os.path.exists(chunk_path):
-                self.chunks_reused += 1
-                continue
-            compressed = zlib.compress(chunk, 6)
-            with atomic_write(chunk_path, "wb") as handle:
-                handle.write(compressed)
-            self.chunks_written += 1
-            self.bytes_written += len(compressed)
+        os.makedirs(self._chunk_dir(), exist_ok=True)
+        chunk_digests = [self._put(blob[start:end]) for start, end in chunk_spans(blob)]
+        buffer_digests = [self._put(buffer) for buffer in buffers]
+        payload_digest = _payload_digest(blob, buffer_digests)
 
         self.chain = blake2b(
             (self.chain + payload_digest).encode("ascii"), digest_size=16
@@ -247,6 +249,14 @@ class Checkpointer:
             "payload_bytes": len(blob),
             "chain_digest": self.chain,
             "chunks": chunk_digests,
+            "buffers": buffer_digests,
+            # The standard provenance block, extended with where and what
+            # this checkpoint captured.  It lives here, not in the pickled
+            # payload, so its wall-clock ``created_at`` never changes a
+            # chunk's content.
+            "manifest": run_manifest(
+                self.config, checkpoint_day_index=day_index, state_digest=digest
+            ),
         }
         manifest_blob = json.dumps(day_manifest, indent=2, sort_keys=True)
         with atomic_write(self._day_manifest_path(day_index)) as handle:
@@ -271,6 +281,21 @@ class Checkpointer:
         if self.saves % _COMPACT_EVERY == 0:
             self.compact()
 
+    def _put(self, data) -> str:
+        """Store ``data`` as a compressed chunk named by its digest, unless
+        the store already holds it; returns the digest."""
+        hexdigest = blake2b(data, digest_size=16).hexdigest()
+        chunk_path = os.path.join(self._chunk_dir(), hexdigest + ".z")
+        if os.path.exists(chunk_path):
+            self.chunks_reused += 1
+            return hexdigest
+        compressed = zlib.compress(data, 6)
+        with atomic_write(chunk_path, "wb") as handle:
+            handle.write(compressed)
+        self.chunks_written += 1
+        self.bytes_written += len(compressed)
+        return hexdigest
+
     def compact(self) -> int:
         """Prune manifests behind ``HEAD`` and chunks nothing references.
 
@@ -291,6 +316,7 @@ class Checkpointer:
                 manifest = _read_json(os.path.join(self.path, name))
                 if manifest is not None:
                     referenced.update(manifest.get("chunks", ()))
+                    referenced.update(manifest.get("buffers", ()))
                 continue
             try:
                 os.unlink(os.path.join(self.path, name))
@@ -346,6 +372,48 @@ class Checkpointer:
         }
 
 
+def _dumps(payload) -> Tuple[bytes, List[memoryview]]:
+    """Pickle ``payload`` with RNG words and large NumPy buffers out of
+    band; returns the in-band stream and the buffers in stream order."""
+    buffers: List[memoryview] = []
+
+    def out_of_band(buffer: pickle.PickleBuffer) -> bool:
+        raw = buffer.raw()
+        if raw.nbytes < _OOB_MIN_BYTES:
+            return True  # serialize in band
+        buffers.append(raw)
+        return False
+
+    stream = io.BytesIO()
+    pickler = pickle.Pickler(stream, protocol=5, buffer_callback=out_of_band)
+    pickler.dispatch_table = copyreg.dispatch_table.copy()
+    pickler.dispatch_table.update(STREAM_REDUCERS)
+    pickler.dump(payload)
+    return stream.getvalue(), buffers
+
+
+def _payload_digest(blob: bytes, buffer_digests: Sequence[str]) -> str:
+    """Digest of the in-band stream plus the ordered buffer digests."""
+    digest = blake2b(blob, digest_size=16)
+    for hexdigest in buffer_digests:
+        digest.update(hexdigest.encode("ascii"))
+    return digest.hexdigest()
+
+
+def _read_chunk(chunk_dir: str, hexdigest: str) -> bytes:
+    chunk_path = os.path.join(chunk_dir, hexdigest + ".z")
+    try:
+        with open(chunk_path, "rb") as handle:
+            chunk = zlib.decompress(handle.read())
+    except (OSError, zlib.error) as exc:
+        raise CheckpointError(
+            f"checkpoint chunk {hexdigest} unreadable: {exc}"
+        ) from exc
+    if blake2b(chunk, digest_size=16).hexdigest() != hexdigest:
+        raise CheckpointError(f"checkpoint chunk {hexdigest} failed its digest")
+    return chunk
+
+
 def _read_json(path: str) -> Optional[dict]:
     try:
         with open(path, "r", encoding="utf-8") as handle:
@@ -396,28 +464,19 @@ def load_checkpoint(path: str, config) -> Tuple[object, List[object], int, dict]
             f"to resume a different scenario"
         )
     chunk_dir = os.path.join(path, "chunks")
-    pieces: List[bytes] = []
-    for hexdigest in day_manifest.get("chunks", ()):
-        chunk_path = os.path.join(chunk_dir, hexdigest + ".z")
-        try:
-            with open(chunk_path, "rb") as handle:
-                chunk = zlib.decompress(handle.read())
-        except (OSError, zlib.error) as exc:
-            raise CheckpointError(
-                f"checkpoint chunk {hexdigest} unreadable: {exc}"
-            ) from exc
-        if blake2b(chunk, digest_size=16).hexdigest() != hexdigest:
-            raise CheckpointError(
-                f"checkpoint chunk {hexdigest} failed its digest"
-            )
-        pieces.append(chunk)
-    blob = b"".join(pieces)
-    if blake2b(blob, digest_size=16).hexdigest() != day_manifest.get("payload_digest"):
+    blob = b"".join(
+        _read_chunk(chunk_dir, hexdigest) for hexdigest in day_manifest.get("chunks", ())
+    )
+    buffer_digests = list(day_manifest.get("buffers", ()))
+    # Writable copies: NumPy arrays rebuilt over them stay mutable, as
+    # they are after an in-band round trip.
+    buffers = [bytearray(_read_chunk(chunk_dir, d)) for d in buffer_digests]
+    if _payload_digest(blob, buffer_digests) != day_manifest.get("payload_digest"):
         raise CheckpointError(
             "reassembled checkpoint payload failed its digest — "
             "the chunk store is incomplete or damaged"
         )
-    payload = pickle.loads(blob)
+    payload = pickle.loads(blob, buffers=buffers)
     simulator = payload["simulator"]
     observers = payload["observers"]
     recomputed = state_digest(simulator, observers)
@@ -433,4 +492,4 @@ def load_checkpoint(path: str, config) -> Tuple[object, List[object], int, dict]
             # process's registry, not the dead process's totals.
             rebase()
     PERF.count("faults.checkpoint.loaded")
-    return simulator, observers, payload["day_index"] + 1, payload["manifest"]
+    return simulator, observers, payload["day_index"] + 1, day_manifest.get("manifest", {})

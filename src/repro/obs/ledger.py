@@ -167,27 +167,30 @@ class RunLedger:
 
     def find(self, ref: str, kind: Optional[str] = None) -> dict:
         """Resolve a record reference: an integer index (``-1`` = latest,
-        ``0`` = oldest) or a unique ``run_id`` prefix."""
+        ``0`` = oldest) or a unique ``run_id`` prefix.  An all-digit
+        reference outside the index range is tried as a prefix, since
+        run ids are hex and may start with digits only."""
         rows = self.records(kind=kind)
         if not rows:
             raise LookupError(f"{self.path}: ledger has no run records")
         try:
             index = int(ref)
         except ValueError:
-            matches = [r for r in rows if r.get("run_id", "").startswith(ref)]
-            if not matches:
-                raise LookupError(f"no ledger record matches run id {ref!r}")
-            if len(matches) > 1:
-                ids = ", ".join(m["run_id"] for m in matches)
-                raise LookupError(f"run id {ref!r} is ambiguous: {ids}")
-            return matches[0]
-        try:
+            index = None
+        if index is not None and -len(rows) <= index < len(rows):
             return rows[index]
-        except IndexError:
+        matches = [r for r in rows if r.get("run_id", "").startswith(ref)]
+        if len(matches) > 1:
+            ids = ", ".join(m["run_id"] for m in matches)
+            raise LookupError(f"run id {ref!r} is ambiguous: {ids}")
+        if matches:
+            return matches[0]
+        if index is not None:
             raise LookupError(
                 f"ledger index {index} out of range "
                 f"({len(rows)} record{'s' if len(rows) != 1 else ''})"
             )
+        raise LookupError(f"no ledger record matches run id {ref!r}")
 
     def history(self, paths: Sequence[str], kind: Optional[str] = None,
                 key: Optional[str] = None) -> Dict[str, List[float]]:

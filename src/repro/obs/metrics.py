@@ -66,7 +66,7 @@ METRICS_COLUMNS: Tuple[str, ...] = (
 TELEMETRY_COLUMNS: Tuple[str, ...] = (
     "day",              # ISO sim-date
     "day_index",        # 0-based offset in the study window
-    "serp_serve_us",    # mean engine.serp µs this day (0 when memoized away)
+    "serp_serve_us",    # mean engine.serp µs this day (0 on a day with no serves)
     "shard_tasks",      # crawl tasks enqueued to the shard pool this day
     "shard_steals",     # work-stealing moves this day
     "shard_fallback",   # 1 when the day fell back to the sequential path

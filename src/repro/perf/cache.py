@@ -20,9 +20,10 @@ Layers built on this module:
   a renderer's view is profile-dependent even though the fetched HTML
   already reflects it.
 * Derived-value caches owned by their consumers (Dagger's shingle sets,
-  the classifier's feature Counters, seizure-notice parses, and the
-  engine's per-day SERP memo) — all built from :class:`LRUCache` or the
-  same counter conventions.
+  the classifier's feature Counters, seizure-notice parses) — all built
+  from :class:`LRUCache`.  SERPs are not cached: on the study path no
+  (term, day) serve repeats under unchanged index and intervention
+  state, so the engine ranks every serve afresh.
 
 Every cache reports ``cache.<name>.hit`` / ``.miss`` / ``.evict`` counters
 into the :data:`repro.util.perf.PERF` registry, so ``python -m repro perf``
@@ -70,9 +71,7 @@ _enabled: bool = os.environ.get("REPRO_CACHE", "1") not in ("0", "false", "no")
 _DISK: Optional[DiskCache] = None
 _disk_resolved: bool = False
 
-#: Every LRUCache ever constructed, for :func:`reset_caches`.  Module-level
-#: caches only — per-object caches (the engine's SERP memo) validate
-#: themselves and die with their owner instead of registering here.
+#: Every LRUCache ever constructed, for :func:`reset_caches`.
 _caches: List["LRUCache"] = []
 
 #: When not None, :meth:`LRUCache.get_or_build` appends ``(name, key)``

@@ -22,7 +22,6 @@ exhausts the partition.
 
 from __future__ import annotations
 
-from collections import OrderedDict
 from dataclasses import dataclass
 from itertools import repeat
 from operator import itemgetter
@@ -31,19 +30,14 @@ from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
-from repro.perf.cache import caches_enabled
 from repro.util.perf import PERF
-
-_SERP_TIMER = PERF.handle("engine.serp")
-
-#: Bound on memoized (term, day) serves per engine — a season of daily
-#: serves for a paper-preset term census.
-_SERP_CACHE_SIZE = 4096
 from repro.util.rng import RandomStreams
 from repro.util.simtime import SimDate
 from repro.search.index import SearchIndex, TermColumns
 from repro.search.ranking import NoiseSource, RankingModel
 from repro.search.serp import ResultLabel, SearchResult, Serp
+
+_SERP_TIMER = PERF.handle("engine.serp")
 
 #: ``since`` ordinal larger than any real day: "never takes effect".
 _NEVER = 2**62
@@ -101,18 +95,6 @@ class SearchEngine:
         self._label_cache: Dict[
             str, Tuple[TermColumns, int, np.ndarray, List[ResultLabel]]
         ] = {}
-        #: (term, day-ordinal) -> (columns, penalty epoch, labels epoch,
-        #: served Serp).  Rankings are deterministic within an epoch (the
-        #: noise stream is a pure function of (term, day)), so a repeat
-        #: serve may return the memoized page verbatim.  Entries validate
-        #: lazily: a hit only counts when the term's columns object is
-        #: still the live one *and* both epochs match — index mutations,
-        #: demotions, labels, and deindexing all break one of the three,
-        #: so a stale page can never be served.  LRU-bounded; dies with
-        #: the engine.
-        self._serp_cache: "OrderedDict[Tuple[str, int], Tuple[TermColumns, int, int, Serp]]" = (
-            OrderedDict()
-        )
 
     # ------------------------------------------------------------------ #
     # Intervention levers
@@ -231,39 +213,15 @@ class SearchEngine:
     def serp(self, term: str, day) -> Serp:
         """Rank candidates and return the top ``serp_size`` results.
 
-        Repeat serves of the same (term, day) under unchanged index and
-        intervention state return the memoized page (bit-identical to a
-        fresh serve — the golden-snapshot test pins this); consumers treat
-        Serp objects as read-only, as they already must for the serps the
-        simulator shares across one day's observers."""
+        Every call ranks afresh: rankings are a pure function of index and
+        intervention state and the (term, day) noise stream, so a repeat
+        serve equals the first one bit for bit (the golden-snapshot test
+        pins this)."""
         start = perf_counter()
         try:
             if type(day) is not SimDate:
                 day = SimDate(day)
-            if not caches_enabled():
-                return self._serp(term, day)
-            key = (term, day.ordinal)
-            cached = self._serp_cache.get(key)
-            if cached is not None:
-                cols, penalty_epoch, labels_epoch, serp = cached
-                if (
-                    penalty_epoch == self._penalty_epoch
-                    and labels_epoch == self._labels_epoch
-                    and cols is self.index.columns(term)
-                ):
-                    self._serp_cache.move_to_end(key)
-                    PERF.count("cache.serp.hit")
-                    return serp
-            PERF.count("cache.serp.miss")
-            serp = self._serp(term, day)
-            self._serp_cache[key] = (
-                self.index.columns(term), self._penalty_epoch,
-                self._labels_epoch, serp,
-            )
-            if len(self._serp_cache) > _SERP_CACHE_SIZE:
-                self._serp_cache.popitem(last=False)
-                PERF.count("cache.serp.evict")
-            return serp
+            return self._serp(term, day)
         finally:
             _SERP_TIMER.add(perf_counter() - start)
 

@@ -10,7 +10,9 @@ from __future__ import annotations
 
 import hashlib
 import random
-from typing import Dict, Sequence, TypeVar
+from array import array
+from pickle import PickleBuffer
+from typing import Dict, Sequence, Tuple, TypeVar
 
 T = TypeVar("T")
 
@@ -27,6 +29,34 @@ def derive_seed(base_seed: int, *names: str) -> int:
         digest.update(b"\x00")
         digest.update(name.encode("utf-8"))
     return int.from_bytes(digest.digest()[:8], "big")
+
+
+def reduce_stream(stream: random.Random) -> Tuple[object, tuple]:
+    """Pickle reducer for an exact :class:`random.Random`.
+
+    The 624-word MT19937 state travels as one packed
+    :class:`~pickle.PickleBuffer` (out of band under a protocol-5
+    ``buffer_callback``), and only the word index and ``gauss_next`` stay
+    in the pickle stream.  Between regenerations — every 624 draws — a
+    stream's words do not change, so a checkpoint store that addresses
+    buffers by content re-uses yesterday's copy.
+    """
+    _, internal, gauss_next = stream.getstate()
+    words = array("I", internal[:-1])
+    return restore_stream, (PickleBuffer(words), internal[-1], gauss_next)
+
+
+def restore_stream(words, index: int, gauss_next) -> random.Random:
+    """Inverse of :func:`reduce_stream`: the stream continues the same draws."""
+    stream = random.Random(0)
+    state = tuple(array("I", bytes(words))) + (index,)
+    stream.setstate((stream.VERSION, state, gauss_next))
+    return stream
+
+
+#: Extra ``Pickler.dispatch_table`` entries for checkpoint payloads.  The
+#: table is keyed by exact type, so subclasses keep their own reduction.
+STREAM_REDUCERS = {random.Random: reduce_stream}
 
 
 class RandomStreams:

@@ -2,7 +2,7 @@
 
 Two kinds of guarantee live here.  Mechanics: LRU bounds, hit/miss/evict
 accounting in the PERF registry, content addressing, StaticPage generator
-memoization, and SERP-memo invalidation on every mutation channel.
+memoization, and SERP freshness on every mutation channel.
 Equivalence: a cached study run is *byte-identical* to a cache-disabled
 one, and multiprocess ablations return the same outcomes in the same
 order for any job count — caching and parallelism change wall-clock,
@@ -199,13 +199,20 @@ def _tiny_engine():
     return engine, registry, day0
 
 
+def _rows(serp):
+    return [(r.rank, r.url, r.score.hex(), r.label) for r in serp.results]
+
+
 class TestSerpMemo:
-    def test_repeat_serve_returns_memoized_page(self):
+    """Serve freshness: the engine keeps no SERP memo, so a repeat serve
+    equals a fresh engine's, and every mutation shows in the next serve."""
+
+    def test_repeat_serve_equals_fresh_serve(self):
         engine, _, day0 = _tiny_engine()
         first = engine.serp("term", day0)
-        before = PERF.counters().get("cache.serp.hit", 0)
-        assert engine.serp("term", day0) is first
-        assert PERF.counters().get("cache.serp.hit", 0) == before + 1
+        again = engine.serp("term", day0)
+        fresh_engine, _, _ = _tiny_engine()
+        assert _rows(again) == _rows(first) == _rows(fresh_engine.serp("term", day0))
 
     def test_demotion_invalidates(self):
         engine, _, day0 = _tiny_engine()
@@ -240,8 +247,7 @@ class TestSerpMemo:
         fresh_engine, _, _ = _tiny_engine()
         with caches_disabled():
             plain = fresh_engine.serp("term", day0 + 4)
-        assert [(r.rank, r.url, r.score.hex(), r.label) for r in cached.results] == \
-               [(r.rank, r.url, r.score.hex(), r.label) for r in plain.results]
+        assert _rows(cached) == _rows(plain)
 
 
 def _study_bytes(tmp_path, name, days=25):
