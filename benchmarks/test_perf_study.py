@@ -16,15 +16,7 @@ Default configuration is the paper preset at the benchmark scale
 ``benchmarks/conftest.py``).  The CI smoke sets
 ``REPRO_BENCH_STUDY_PRESET=small`` to keep the job short; other knobs:
 ``REPRO_BENCH_SCALE``, ``REPRO_BENCH_TERMS``, ``REPRO_BENCH_STUDY_DAYS``
-(small preset window), ``REPRO_BENCH_JOBS``, ``REPRO_BENCH_CRAWL_JOBS``
-(crawl shard processes — artifacts are byte-identical at any value, so
-both legs run sharded and the cached-vs-uncached equality check doubles
-as a shard-merge check; per-shard wall times, steal counts, and cpus land
-in the ``shard`` block of the JSON).
-
-A classification-only pass also measures the classifier-fit speedup from
-``n_jobs`` threads; coefficients are identical either way
-(``tests/test_classify.py`` pins that), so only the timing is recorded.
+(small preset window).
 
 A third pair of legs measures the *persistent* disk tier: two identical
 small-preset runs share one ``--disk-cache`` store (cold populates, warm
@@ -43,7 +35,6 @@ import gc
 import os
 import time
 
-from repro.classify.pipeline import CampaignClassifier
 from repro.crawler.serp_crawler import CrawlPolicy
 from repro.ecosystem import paper_preset, small_preset
 from repro.perf.cache import (
@@ -61,8 +52,6 @@ PRESET = os.environ.get("REPRO_BENCH_STUDY_PRESET", "paper")
 SCALE = float(os.environ.get("REPRO_BENCH_SCALE", "0.25"))
 TERMS_PER_VERTICAL = int(os.environ.get("REPRO_BENCH_TERMS", "8"))
 DAYS = int(os.environ.get("REPRO_BENCH_STUDY_DAYS", "70"))
-FIT_JOBS = int(os.environ.get("REPRO_BENCH_JOBS", "4"))
-CRAWL_JOBS = int(os.environ.get("REPRO_BENCH_CRAWL_JOBS", "1"))
 AT_DEFAULT = not any(
     name in os.environ
     for name in ("REPRO_BENCH_STUDY_PRESET", "REPRO_BENCH_SCALE",
@@ -144,11 +133,9 @@ def _study_run():
     if PRESET == "paper":
         config = paper_preset(scale=SCALE, terms_per_vertical=TERMS_PER_VERTICAL)
         return StudyRun(config, crawl_policy=CrawlPolicy(stride_days=3),
-                        seed_label_count=491, refinement_rounds=1,
-                        jobs=CRAWL_JOBS)
+                        seed_label_count=491, refinement_rounds=1)
     return StudyRun(small_preset(days=DAYS),
-                    crawl_policy=CrawlPolicy(stride_days=2),
-                    jobs=CRAWL_JOBS)
+                    crawl_policy=CrawlPolicy(stride_days=2))
 
 
 def _timed_leg():
@@ -186,29 +173,12 @@ def test_study_end_to_end_perf(tmp_path):
         cached_bytes = handle.read()
     assert cached_bytes == plain_bytes, "caching changed the PSR records"
 
-    # -- classifier-fit thread scaling (identical weights, see tests) --- #
-    fit_timing = {}
-    if results.labeled_pages and len({p.campaign for p in results.labeled_pages}) >= 2:
-        for jobs in (1, FIT_JOBS):
-            t0 = time.perf_counter()
-            CampaignClassifier(n_jobs=jobs).fit(results.labeled_pages)
-            fit_timing[f"fit_s_jobs{jobs}"] = time.perf_counter() - t0
-
     # -- persistent disk tier: cold vs warm, plus delta checkpoints ----- #
     disk = _disk_tier_block(tmp_path)
-
-    shard = results.shard_stats
-    assert shard is not None, "study run recorded no shard stats"
-    for field in ("jobs", "cpus", "mode", "crawl_days", "tasks", "steals",
-                  "fallback_days", "per_shard_busy_s", "crawl_wall_s"):
-        assert field in shard, f"shard stats missing {field}"
-    assert shard["jobs"] == CRAWL_JOBS
 
     payload = {
         "preset": PRESET,
         "cpus": os.cpu_count(),
-        "crawl_jobs": CRAWL_JOBS,
-        "shard": shard,
         "scale": SCALE if PRESET == "paper" else None,
         "terms_per_vertical": TERMS_PER_VERTICAL if PRESET == "paper" else None,
         "days": DAYS if PRESET == "small" else None,
@@ -220,7 +190,6 @@ def test_study_end_to_end_perf(tmp_path):
         "perf_uncached": perf_uncached,
         "cache_counters": cache_counters,
         "disk": disk,
-        **fit_timing,
     }
     serp_stats = breakdown.get("engine.serp") or {}
     write_bench_json("study", payload, ledger_metrics={
@@ -240,9 +209,6 @@ def test_study_end_to_end_perf(tmp_path):
         ("total (uncached)", "-", f"{total_s_uncached:.2f}s"),
         ("total (cached)", "-", f"{total_s_cached:.2f}s"),
         ("cache speedup", ">=1.5x target", f"{speedup:.2f}x"),
-        (f"crawl shards (jobs={CRAWL_JOBS}, {shard['mode']})", "-",
-         f"{shard['crawl_wall_s']:.2f}s wall, {shard['tasks']} tasks, "
-         f"{shard['steals']} steals"),
         (f"disk warm start ({disk['days']}d small)", "-",
          f"{disk['cold_s']:.2f}s cold -> {disk['warm_s']:.2f}s warm "
          f"({disk['warm_speedup']:.2f}x)"),
@@ -256,14 +222,6 @@ def test_study_end_to_end_perf(tmp_path):
             rows.append((
                 name, "-",
                 f"{stats['total_s']:.2f}s over {stats['calls']} calls",
-            ))
-    if fit_timing:
-        base = fit_timing.get("fit_s_jobs1")
-        threaded = fit_timing.get(f"fit_s_jobs{FIT_JOBS}")
-        if base and threaded:
-            rows.append((
-                f"fit n_jobs={FIT_JOBS}", "-",
-                f"{base / threaded:.2f}x vs n_jobs=1",
             ))
     print_comparison("Study end-to-end (cached vs uncached)", rows)
 

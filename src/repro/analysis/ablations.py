@@ -259,10 +259,12 @@ def run_intervention_ablations(
              for name in VARIANT_ORDER]
     with _pool_context().Pool(processes=min(jobs, len(tasks))) as pool:
         paired = pool.map(_run_variant, tasks)
-    # Fold worker-side cache counters into the parent registry (integer
-    # sums commute, so the merged totals are schedule-independent), and
-    # adopt worker span trees in submission (= VARIANT_ORDER) order so the
-    # merged trace is deterministic for any job count.
+    # Fold worker-side counters into the parent registry and adopt worker
+    # span trees in submission (= VARIANT_ORDER) order, so the merged trace
+    # is deterministic for any job count.  Outcomes are schedule-
+    # independent; cache hit/miss totals are not: a worker keeps its LRU
+    # caches between the variants it runs, so which worker gets which
+    # variant moves the hit/miss split.
     for track, (outcome, counters, spans, wall_s) in enumerate(paired, start=1):
         for name, value in sorted(counters.items()):
             PERF.count(name, value)

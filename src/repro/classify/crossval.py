@@ -4,7 +4,6 @@ from __future__ import annotations
 
 import random
 from collections import Counter
-from concurrent.futures import ThreadPoolExecutor
 from typing import List, Optional, Sequence, Tuple
 
 
@@ -59,33 +58,17 @@ def cross_validate_accuracy(
     lam: float = 1e-3,
     seed: int = 0,
     min_df: int = 2,
-    n_jobs: int = 1,
 ) -> Tuple[float, List[float]]:
     """Mean held-out accuracy over k folds, refitting the vocabulary per fold
-    (no leakage from held-out pages into the feature space).
-
-    ``n_jobs`` runs folds on a thread pool.  Folds are independent and
-    RNG-free past the shared ``kfold_indices`` shuffle, and accuracies are
-    assembled in fold order, so results match the sequential path exactly.
-    """
+    (no leakage from held-out pages into the feature space)."""
     if len(feature_maps) != len(labels):
         raise ValueError("feature_maps and labels length differ")
     labels = list(labels)
     folds = kfold_indices(len(labels), k, seed)
-    workers = min(n_jobs, len(folds))
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            per_fold = list(pool.map(
-                lambda held_out: _fold_accuracy(
-                    feature_maps, labels, held_out, lam, min_df
-                ),
-                folds,
-            ))
-    else:
-        per_fold = [
-            _fold_accuracy(feature_maps, labels, held_out, lam, min_df)
-            for held_out in folds
-        ]
+    per_fold = [
+        _fold_accuracy(feature_maps, labels, held_out, lam, min_df)
+        for held_out in folds
+    ]
     accuracies = [a for a in per_fold if a is not None]
     if not accuracies:
         raise ValueError("no usable folds")

@@ -11,7 +11,6 @@ LIBLINEAR's formulation.
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -155,26 +154,17 @@ class L1LogisticRegression:
 
 class OneVsRestL1Logistic:
     """Multiclass wrapper: one binary L1 model per class, probabilities
-    normalized across classes.
-
-    ``n_jobs`` fits the per-class binary models on a thread pool.  Each
-    fit is an independent, RNG-free sequence of NumPy/SciPy operations
-    over the shared (read-only) design matrix, so results are identical
-    to the sequential path for any ``n_jobs`` — threads change wall-clock,
-    never weights — and the heavy matvecs release the GIL.
-    """
+    normalized across classes."""
 
     def __init__(
         self,
         lam: float = 1e-3,
         max_iter: int = 300,
         tol: float = 1e-6,
-        n_jobs: int = 1,
     ):
         self.lam = lam
         self.max_iter = max_iter
         self.tol = tol
-        self.n_jobs = n_jobs
         self.classes_: List[str] = []
         self._models: Dict[str, L1LogisticRegression] = {}
 
@@ -190,17 +180,7 @@ class OneVsRestL1Logistic:
         if len(self.classes_) < 2:
             raise ValueError("need at least two classes")
         y_all = np.asarray(labels, dtype=object)
-        workers = min(self.n_jobs, len(self.classes_))
-        if workers > 1:
-            with ThreadPoolExecutor(max_workers=workers) as pool:
-                fitted = list(
-                    pool.map(lambda cls: self._fit_one(X, y_all, cls), self.classes_)
-                )
-        else:
-            fitted = [self._fit_one(X, y_all, cls) for cls in self.classes_]
-        # Assembled in class order either way, so iteration order (and
-        # everything serialized from it) is job-count independent.
-        self._models = dict(zip(self.classes_, fitted))
+        self._models = {cls: self._fit_one(X, y_all, cls) for cls in self.classes_}
         return self
 
     def decision_matrix(self, X) -> np.ndarray:

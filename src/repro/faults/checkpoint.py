@@ -36,8 +36,7 @@ tamper-evident across saves and resumes.
 chunk digest, the payload digest, the scenario config digest, and a
 recomputed state digest, and continues the day loop — producing final
 artifacts byte-identical to an uninterrupted run (pinned in
-``tests/test_faults.py``), at any ``--jobs`` level on either side of the
-crash.
+``tests/test_faults.py``).
 
 :class:`SimulatedCrash` gives tests and CI a deterministic kill: the
 checkpointer raises it right after persisting the configured day, which
@@ -64,8 +63,10 @@ from repro.util.rng import STREAM_REDUCERS
 
 #: Checkpoint layout schema, bumped on layout changes.  Schema 1 was a
 #: single whole-graph pickle file; 2 the chunked delta directory; 3 adds
-#: out-of-band buffer chunks (RNG words, NumPy columns).
-CHECKPOINT_SCHEMA = 3
+#: out-of-band buffer chunks (RNG words, NumPy columns); 4 drops the crawl
+#: shard pool's cache-replay shadows from the pickled crawler (a schema-3
+#: payload references a class that no longer exists).
+CHECKPOINT_SCHEMA = 4
 
 #: Chunk-boundary anchor: the byte pair ``\x94\x00``.  It never marks a
 #: pickle ``MEMOIZE`` opcode (``\x00`` is not an opcode); it matches

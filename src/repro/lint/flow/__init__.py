@@ -1,12 +1,10 @@
-"""``repro.lint.flow`` — whole-program shard-safety & determinism analysis.
+"""``repro.lint.flow`` — whole-program worker-safety & determinism analysis.
 
-The per-file rules (D001–D010) are syntactic: each looks at one module's
-AST and cannot see that a worker task calls, three modules away, a helper
-that bumps a parent-only counter.  PR 6 made exactly those whole-program
-contracts load-bearing — byte-identical artifacts at any ``--jobs`` level
-hold only while every worker effect is a seq-tagged op and no
-nondeterminism source leaks into the merge path.  This package checks
-them mechanically:
+The per-file rules (D001–D011) are syntactic: each looks at one module's
+AST and cannot see that a pool worker calls, three modules away, a helper
+that bumps a parent-only counter, or that an ``id()`` produced in one
+module becomes an artifact key in another.  This package checks those
+whole-program contracts mechanically:
 
 1. a **module import graph** and a **call graph** over the analyzed
    package (direct calls, method resolution through a lightweight
@@ -19,12 +17,10 @@ them mechanically:
 3. interprocedural rules on top:
 
 ======  ===============================================================
-D101    worker-context purity: code reachable from a shard-pool worker
+D101    worker-context purity: code reachable from a pool worker
         entry point must not mutate parent-owned module state
 D102    nondeterminism taint (wallclock / raw RNG / ``id()`` / unordered
         iteration) reaching an artifact writer
-D103    unordered iteration reachable from a canonical seq-ordered
-        merge root (``# repro: merge-root``)
 D104    declared effect contracts (``# repro: effects=pure`` /
         ``effects=worker-safe``) verified against inferred effects
 D105    cross-module aliasing of one seeded RNG stream

@@ -41,7 +41,7 @@ _MAX_RESOLVE_DEPTH = 12
 
 @dataclass
 class Edge:
-    caller: str  #: fully-qualified caller, e.g. "repro.perf.shardpool._run_task"
+    caller: str  #: fully-qualified caller, e.g. "repro.analysis.ablations._run_variant"
     callee: str
     line: int  #: line in the *caller's* module
     module: str  #: caller's module (dotted)
@@ -87,7 +87,6 @@ class Program:
     import_edges: dict = field(default_factory=dict)  # module -> sorted [module]
     edges: list = field(default_factory=list)
     worker_roots: list = field(default_factory=list)  # sorted quals
-    merge_roots: list = field(default_factory=list)
     stream_sites: list = field(default_factory=list)
     unresolved_calls: int = 0
 
@@ -110,7 +109,6 @@ class Program:
         for edge in self.edges:
             self._by_caller.setdefault(edge.caller, []).append(edge)
         self.worker_roots = sorted(set(self.worker_roots))
-        self.merge_roots = sorted(set(self.merge_roots))
 
 
 def link(summaries: dict) -> Program:
@@ -134,8 +132,6 @@ class _Linker:
         for module, summary in sorted(self.summaries.items()):
             for qual, fn in summary.functions.items():
                 program.functions[f"{module}.{qual}"] = (module, fn)
-                if fn.merge_root:
-                    program.merge_roots.append(f"{module}.{qual}")
                 if fn.worker_entry:
                     program.worker_roots.append(f"{module}.{qual}")
             for name, cls in summary.classes.items():
@@ -146,7 +142,7 @@ class _Linker:
                 if target in self.summaries and target != module:
                     imported.add(target)
                 elif info["kind"] == "object":
-                    # "from repro.perf import shardpool" style
+                    # "from repro.perf import diskcache" style
                     sub = f"{target}.{info['name']}"
                     if sub in self.summaries and sub != module:
                         imported.add(sub)
@@ -177,7 +173,7 @@ class _Linker:
             return ("binding", module, name)
         info = summary.imports.get(name)
         if info is None:
-            # Package attribute access: repro.perf -> repro.perf.shardpool.
+            # Package attribute access: repro.perf -> repro.perf.diskcache.
             if f"{module}.{name}" in self.summaries:
                 return ("module", f"{module}.{name}")
             return None

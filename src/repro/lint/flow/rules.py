@@ -1,4 +1,4 @@
-"""Interprocedural rules D101–D105 over the linked program + effects.
+"""Interprocedural rules D101, D102, D104, D105 over the linked program.
 
 Flow rules see the whole program at once (unlike :class:`repro.lint.core.Rule`,
 which sees one file), so they register in their own registry and are run
@@ -132,7 +132,7 @@ class WorkerPurityRule(FlowRule):
     code = "D101"
     name = "worker-context-purity"
     hint = (
-        "emit a seq-tagged op for the parent to replay, or declare the callee "
+        "return the result for the parent to merge, or declare the callee "
         "'# repro: effects=worker-safe' if its mutation is worker-local by design"
     )
 
@@ -240,45 +240,6 @@ class ArtifactTaintRule(FlowRule):
             if edge.callee.rsplit(".", 1)[-1] == "atomic_write":
                 return True
         return False
-
-
-@register_flow
-class MergeOrderRule(FlowRule):
-    """D103: no unordered iteration on the canonical merge path.
-
-    The seq-ordered merge (PR 6) replays worker ops in a globally sorted
-    order; any set iteration reachable from a function annotated
-    ``# repro: merge-root`` can reorder ops between runs and break
-    byte-identity at ``--jobs > 1``.
-    """
-
-    code = "D103"
-    name = "merge-path-ordering"
-    hint = "sort the collection (sorted(...)) before iterating on the merge path"
-
-    def check(self, program: Program, effects: EffectResult) -> Iterable[Finding]:
-        roots = program.merge_roots
-        if not roots:
-            return
-        reach = reachable_from(program, roots)
-        for qual in sorted(reach):
-            module = program.module_of(qual)
-            fn = program.function(qual)
-            if module is None or fn is None:
-                continue
-            witness = fn.base_effects.get(UNORDERED_ITER)
-            if witness is None:
-                continue
-            yield self.finding(
-                program,
-                module,
-                witness["line"],
-                (
-                    f"unordered iteration in {_short(qual, program)} "
-                    f"({witness['detail']}) is reachable from merge root "
-                    f"{_entry_chain(reach, qual, program)}"
-                ),
-            )
 
 
 @register_flow

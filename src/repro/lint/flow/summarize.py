@@ -140,7 +140,7 @@ _MUTATING_METHODS = frozenset(
 )
 
 _ANNOTATION_RE = re.compile(
-    r"#\s*repro:\s*(?P<kind>effects=(?P<value>[\w-]+)|merge-root|worker-entry)\s*$"
+    r"#\s*repro:\s*(?P<kind>effects=(?P<value>[\w-]+)|worker-entry)\s*$"
 )
 
 # ---------------------------------------------------------------------------
@@ -199,7 +199,6 @@ class FunctionSummary:
     calls: list = field(default_factory=list)
     declared: str | None = None  # "pure" | "worker-safe"
     declared_line: int | None = None
-    merge_root: bool = False
     worker_entry: bool = False
 
     def to_dict(self) -> dict:
@@ -211,7 +210,6 @@ class FunctionSummary:
             "calls": [c.to_dict() for c in self.calls],
             "declared": self.declared,
             "declared_line": self.declared_line,
-            "merge_root": self.merge_root,
             "worker_entry": self.worker_entry,
         }
 
@@ -291,7 +289,7 @@ class ModuleSummary:
 def collect_annotations(source: str) -> dict:
     """Map line numbers to flow annotations found in comments.
 
-    Returns ``{line: {"kind": "effects"|"merge-root"|"worker-entry",
+    Returns ``{line: {"kind": "effects"|"worker-entry",
     "value": str|None}}``.  Unknown ``effects=`` values are kept verbatim
     so D104 can flag them at the declaration site.
     """
@@ -703,7 +701,7 @@ def _resolve_relative(module: str, node: ast.ImportFrom) -> str | None:
 
 
 def _apply_annotations(summary: ModuleSummary, annotations: dict, def_lines: dict) -> None:
-    """Attach effects=/merge-root/worker-entry comments to functions.
+    """Attach effects=/worker-entry comments to functions.
 
     A comment binds to the def on the same line, or to a def on the next
     line when it stands alone above the signature."""
@@ -722,8 +720,6 @@ def _apply_annotations(summary: ModuleSummary, annotations: dict, def_lines: dic
         if ann["kind"] == "effects":
             fn.declared = ann["value"]
             fn.declared_line = line
-        elif ann["kind"] == "merge-root":
-            fn.merge_root = True
         elif ann["kind"] == "worker-entry":
             fn.worker_entry = True
 

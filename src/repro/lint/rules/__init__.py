@@ -2,7 +2,7 @@
 
 One module per hazard family, mirroring the bug classes this codebase has
 actually hit (PR 1's ``id()``-recycling cache bug) or is structurally
-exposed to (thread-pool fits, seeded-stream discipline):
+exposed to (pool workers, seeded-stream discipline):
 
 * :mod:`repro.lint.rules.rng` — D001 stdlib ``random``, D002 ``np.random``
 * :mod:`repro.lint.rules.wallclock` — D003 wall-clock reads
@@ -13,8 +13,6 @@ exposed to (thread-pool fits, seeded-stream discipline):
 * :mod:`repro.lint.rules.errors` — D008 swallowed exceptions
 * :mod:`repro.lint.rules.retry` — D009 retry discipline (unbounded loops,
   wall-clock backoff)
-* :mod:`repro.lint.rules.poolloop` — D010 process pools constructed per
-  loop iteration instead of once per run
 * :mod:`repro.lint.rules.atomicio` — D011 raw write-mode ``open()``
   instead of the crash-safe ``atomic_write``
 """
@@ -26,7 +24,6 @@ from repro.lint.rules import (  # noqa: F401
     errors,
     identity,
     ordering,
-    poolloop,
     retry,
     rng,
     wallclock,

@@ -1,7 +1,6 @@
 """D007 — module-level state written from executor workers.
 
-The ``n_jobs`` regions (OvR fits in ``classify/linear.py``, CV folds in
-``classify/crossval.py``) promise bit-identical results at any thread
+Code handed to an executor promises results independent of the worker
 count.  That holds only while workers are pure: read shared inputs,
 return results, merge in the caller.  A worker writing module-level state
 races under threads and silently diverges under a future process pool.

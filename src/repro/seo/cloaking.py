@@ -81,7 +81,7 @@ class IframeObfuscator:
 
     Responses must be pure functions of (campaign, target): doorway pages
     are fetched by the measurement crawl, simulated users, and test orders
-    in an order that the crawl's process sharding does not preserve, so a
+    in an interleaving that changes whenever any of them changes, so a
     stateful per-request stream here would make page bytes depend on fetch
     order.  Split-write chunk sizes therefore come from a throwaway RNG
     seeded per (campaign seed, markup) instead of a shared stream.

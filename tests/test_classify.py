@@ -198,16 +198,6 @@ class TestBatchedFitBitIdentity:
         assert np.array_equal(model.weights, ref_w)
         assert model.bias == ref_b
 
-    def test_ovr_bit_identical_across_jobs(self):
-        rng = np.random.RandomState(11)
-        X = sparse.csr_matrix(rng.randn(180, 25))
-        labels = [("a", "b", "c")[i % 3] for i in range(180)]
-        seq = OneVsRestL1Logistic(lam=1e-3, n_jobs=1).fit(X, labels)
-        par = OneVsRestL1Logistic(lam=1e-3, n_jobs=4).fit(X, labels)
-        for cls in seq.classes_:
-            assert np.array_equal(seq._models[cls].weights, par._models[cls].weights)
-            assert seq._models[cls].bias == par._models[cls].bias
-
 
 class TestOneVsRest:
     def _multiclass(self, n_per=60, seed=1):

@@ -142,12 +142,6 @@ class TestRules(unittest.TestCase):
         _report, findings = self.findings("d102case")
         self.assertEqual([code for code, _, _ in findings], ["D102"])
 
-    def test_d103_merge_path_ordering(self):
-        report, findings = self.findings("d103case")
-        self.assertEqual(findings, [("D103", "merge.py", 17)])
-        self.assertIn("merge root", report.findings[0].message)
-        self.assertEqual(report.suppressions_used, 1)
-
     def test_d104_contract_verification(self):
         report, findings = self.findings("d104case")
         self.assertEqual(
@@ -210,8 +204,8 @@ class TestSummaryCache(unittest.TestCase):
         self._tmpdir = tempfile.TemporaryDirectory()
         self.tmp = Path(self._tmpdir.name)
         self.addCleanup(self._tmpdir.cleanup)
-        self.pkg = self.tmp / "d103case"
-        shutil.copytree(FLOW_FIXTURES / "d103case", self.pkg)
+        self.pkg = self.tmp / "d102case"
+        shutil.copytree(FLOW_FIXTURES / "d102case", self.pkg)
         self.cache_dir = str(self.tmp / "flowcache")
 
     def analyze(self):
@@ -230,7 +224,7 @@ class TestSummaryCache(unittest.TestCase):
         self.assertEqual(warm.cache_misses, 0)
 
         # Touching content (not just mtime) re-summarizes only that module.
-        target = self.pkg / "merge.py"
+        target = self.pkg / "keys.py"
         target.write_text(target.read_text() + "\n\ndef extra():\n    return 1\n")
         edited = self.analyze()
         self.assertEqual(edited.cache_misses, 1)
@@ -239,7 +233,7 @@ class TestSummaryCache(unittest.TestCase):
         program, _effects, _stats = analyze_paths(
             [str(self.pkg)], cache_dir=self.cache_dir
         )
-        self.assertIn("d103case.merge.extra", program.functions)
+        self.assertIn("d102case.keys.extra", program.functions)
 
     def test_cache_disabled_runs_clean(self):
         _program, _effects, stats = analyze_paths([str(self.pkg)], cache_dir=None)
@@ -268,11 +262,10 @@ class TestShippedTreeDeep(unittest.TestCase):
     def test_real_roots_discovered(self):
         stats = self.report.stats
         self.assertGreater(stats.worker_roots, 0)
-        self.assertGreater(stats.merge_roots, 0)
         self.assertGreater(stats.call_edges, 500)
         self.assertIn(
-            "repro.perf.shardpool.CrawlExecutor._merge_day",
-            self.report.program.merge_roots,
+            "repro.analysis.ablations._run_variant",
+            self.report.program.worker_roots,
         )
 
     def test_graph_dump_shape(self):
@@ -337,12 +330,12 @@ class TestCommandLine(unittest.TestCase):
 
     def test_json_format_carries_deep_block(self):
         proc = run_cli(
-            "tests/lint_fixtures/flow/d103case", "--deep", "--format", "json",
+            "tests/lint_fixtures/flow/d102case", "--deep", "--format", "json",
             "--no-flow-cache",
         )
         payload = json.loads(proc.stdout)
         deep = payload["summary"]["deep"]
-        self.assertEqual(deep["by_rule"], {"D103": 1})
+        self.assertEqual(deep["by_rule"], {"D102": 1})
         self.assertEqual(deep["suppressions_used"], 1)
         self.assertIn("fixpoint_iterations", deep["stats"])
         self.assertEqual(len(payload["deep_findings"]), 1)

@@ -203,7 +203,7 @@ def _rows(serp):
     return [(r.rank, r.url, r.score.hex(), r.label) for r in serp.results]
 
 
-class TestSerpMemo:
+class TestSerpFreshness:
     """Serve freshness: the engine keeps no SERP memo, so a repeat serve
     equals a fresh engine's, and every mutation shows in the next serve."""
 
@@ -272,6 +272,32 @@ class TestCachedStudyEquivalence:
         counters = PERF.counters()
         for name in ("cache.dom.hit", "cache.shingle.hit", "cache.notice.hit"):
             assert counters.get(name, 0) > 0, name
+
+
+class TestCacheCounters:
+    def test_hit_plus_miss_equals_lookups(self, monkeypatch):
+        """Every ``get_or_build`` call counts exactly one hit or miss, for
+        every cache a full study (crawl, orders, classify) touches."""
+        lookups = {}
+        original = LRUCache.get_or_build
+
+        def counting(self, key, build, arg):
+            lookups[self.name] = lookups.get(self.name, 0) + 1
+            return original(self, key, build, arg)
+
+        monkeypatch.setattr(LRUCache, "get_or_build", counting)
+        reset_caches()
+        before = PERF.counters()
+        StudyRun(small_preset(), crawl_policy=CrawlPolicy(stride_days=3)).execute()
+        after = PERF.counters()
+
+        def delta(name):
+            return after.get(name, 0) - before.get(name, 0)
+
+        assert {"dom", "render", "shingle", "notice", "features"} <= set(lookups)
+        counted = {name: delta(f"cache.{name}.hit") + delta(f"cache.{name}.miss")
+                   for name in lookups}
+        assert counted == lookups
 
 
 @pytest.mark.parametrize("jobs", [1, 4])

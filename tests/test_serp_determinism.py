@@ -1,17 +1,11 @@
-"""Study-level determinism locks.
+"""Study-level determinism lock.
 
-Two guarantees the perf work must not erode:
-
-* a fixed scenario seed reproduces the *entire* measurement bit for bit —
-  the PSR dataset and the Table 1/2 aggregates built from it; and
-* ``n_jobs`` changes wall-clock only: threaded classifier fits yield the
-  same per-class weights and the same attribution for every record as the
-  sequential path.
+A fixed scenario seed reproduces the *entire* measurement bit for bit —
+the PSR dataset and the Table 1/2 aggregates built from it.
 """
 
 from __future__ import annotations
 
-import numpy as np
 import pytest
 
 from repro.analysis import DailyAggregates, campaign_table, vertical_table
@@ -20,11 +14,10 @@ from repro.ecosystem import small_preset
 from repro.study import StudyRun
 
 
-def _run(n_jobs: int = 1):
+def _run():
     return StudyRun(
         small_preset(),
         crawl_policy=CrawlPolicy(stride_days=2),
-        n_jobs=n_jobs,
     ).execute()
 
 
@@ -53,26 +46,3 @@ def test_same_seed_reproduces_dataset_and_tables(baseline):
     ) == campaign_table(
         baseline.dataset, baseline.archive, brands, aggregates=base_agg
     )
-
-
-def test_n_jobs_does_not_change_results(baseline):
-    threaded = _run(n_jobs=4)
-
-    assert baseline.classifier is not None and threaded.classifier is not None
-    base_model = baseline.classifier.model
-    threaded_model = threaded.classifier.model
-    assert threaded_model.classes_ == base_model.classes_
-    for cls in base_model.classes_:
-        seq = base_model._models[cls]
-        par = threaded_model._models[cls]
-        assert np.array_equal(par.weights, seq.weights), cls
-        assert par.bias == seq.bias, cls
-
-    assert baseline.attribution is not None and threaded.attribution is not None
-    assert (
-        threaded.attribution.host_predictions
-        == baseline.attribution.host_predictions
-    )
-    assert [r.campaign for r in threaded.dataset.records] == [
-        r.campaign for r in baseline.dataset.records
-    ]

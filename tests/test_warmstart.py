@@ -3,14 +3,14 @@
 Pins the ISSUE-8 contract:
 
 * a study run with ``--disk-cache`` is byte-identical to one without it
-  — cold or warm, at any ``--jobs`` level — and the warm run actually
-  reads from disk (``disk_hit`` counters increment);
+  — cold or warm — and the warm run actually reads from disk
+  (``disk_hit`` counters increment);
 * corrupted / truncated / stale-schema disk entries degrade to misses
   and are quarantined, never served;
 * the delta checkpointer writes a fraction of the whole-pickle bytes at
   ``--checkpoint-every 1`` while kill + resume stays byte-identical,
-  including resuming at a different ``--jobs`` level with a warm disk
-  cache, and compaction bounds the store;
+  including resuming in a fresh process over a warm disk cache, and
+  compaction bounds the store;
 * RNG streams round-trip through out-of-band buffer chunks, an unchanged
   stream re-uses yesterday's chunk, and a damaged buffer or an older
   store schema refuses resume;
@@ -55,7 +55,8 @@ def _psr_bytes(results) -> bytes:
 
 
 def _serp_fingerprint(results):
-    """Final-day SERP re-serves, scores included (see test_shardpool)."""
+    """Final-day SERP re-serves, scores included: a run must leave the
+    engine (and the world feeding it) exactly as the reference run does."""
     world = results.world
     day = world.window.end
     fingerprint = []
@@ -89,9 +90,8 @@ def _day_manifest(ckpt):
     return json.loads(Path(os.path.join(ckpt, head["manifest"])).read_text())
 
 
-def _study(jobs=1, **kwargs):
-    return StudyRun(small_preset(days=DAYS), classify=False,
-                    jobs=jobs, **kwargs)
+def _study(**kwargs):
+    return StudyRun(small_preset(days=DAYS), classify=False, **kwargs)
 
 
 class DiskTierBase(unittest.TestCase):
@@ -233,35 +233,6 @@ class TestWarmStartStudy(DiskTierBase):
             self.assertEqual(disk_writes, 0,
                              f"warm run re-stored entries: {deltas}")
 
-    def test_warm_jobs2_identical(self):
-        baseline = _study().execute()
-        expected = _psr_bytes(baseline)
-        with tempfile.TemporaryDirectory() as tmp:
-            set_disk_cache(os.path.join(tmp, "dcache"))
-            reset_caches()
-            _study().execute()  # cold leg populates the store
-            reset_caches()
-            warm = _study(jobs=2).execute()
-            self.assertEqual(_psr_bytes(warm), expected)
-
-    def test_disk_contents_independent_of_jobs(self):
-        with tempfile.TemporaryDirectory() as tmp:
-            set_disk_cache(os.path.join(tmp, "d1"))
-            reset_caches()
-            _study().execute()
-            set_disk_cache(os.path.join(tmp, "d2"))
-            reset_caches()
-            _study(jobs=2).execute()
-            set_disk_cache(None)
-            # Fresh instances rescan the directories — the live parent
-            # index does not see shard-worker writes.
-            seq = DiskCache(os.path.join(tmp, "d1")).index_snapshot()
-            par = DiskCache(os.path.join(tmp, "d2")).index_snapshot()
-            self.assertEqual(
-                {name: frozenset(stems) for name, stems in seq.items()},
-                {name: frozenset(stems) for name, stems in par.items()},
-            )
-
 
 class TestChunkSpans(unittest.TestCase):
     def test_spans_cover_exactly(self):
@@ -334,8 +305,9 @@ class TestDeltaCheckpoint(DiskTierBase):
             self.assertEqual(_psr_bytes(resumed), expected)
             self.assertFalse(os.path.exists(ckpt))
 
-    def test_cross_jobs_warm_resume(self):
-        """Kill sharded with a disk cache, resume sequential and warm."""
+    def test_kill_resume_with_warm_disk_cache(self):
+        """Kill with a disk cache, resume in a fresh process that warm-
+        starts from the store the killed run populated."""
         baseline = _study().execute()
         expected = _psr_bytes(baseline)
         with tempfile.TemporaryDirectory() as tmp:
@@ -343,7 +315,7 @@ class TestDeltaCheckpoint(DiskTierBase):
             reset_caches()
             ckpt = os.path.join(tmp, "run.ckpt")
             with self.assertRaises(SimulatedCrash):
-                _study(jobs=2, checkpoint_path=ckpt,
+                _study(checkpoint_path=ckpt,
                        checkpoint_every_days=1, die_after_day=7).execute()
             reset_caches()  # new-process simulation; disk stays warm
             resumed_run = _study(checkpoint_path=ckpt, resume=True)
@@ -453,6 +425,22 @@ class TestDeltaCheckpoint(DiskTierBase):
             with self.assertRaises(CheckpointError) as caught:
                 load_checkpoint(ckpt, small_preset(days=DAYS))
             self.assertIn("schema", str(caught.exception))
+
+    def test_schema_3_store_refused_on_resume(self):
+        """A schema-3 payload pickles the crawl's cache-replay shadows,
+        a class that no longer exists: ``--resume`` must refuse the store
+        by its HEAD before unpickling anything."""
+        with tempfile.TemporaryDirectory() as tmp:
+            ckpt = os.path.join(tmp, "run.ckpt")
+            with self.assertRaises(SimulatedCrash):
+                _study(checkpoint_path=ckpt, die_after_day=3).execute()
+            head_path = os.path.join(ckpt, "HEAD")
+            head = json.loads(Path(head_path).read_text())
+            head["schema"] = 3
+            Path(head_path).write_text(json.dumps(head))
+            with self.assertRaises(CheckpointError) as caught:
+                _study(checkpoint_path=ckpt, resume=True).execute()
+            self.assertIn("schema 3", str(caught.exception))
 
     def test_chunk_count_independent_of_wall_clock(self):
         written = []
